@@ -1,8 +1,11 @@
 // Host execution engine throughput — wall-clock nnz/s of the paths that
 // run *real* arithmetic on the host: the EC kernel, format-build sorting,
-// and end-to-end mttkrp_all_modes. Unlike every other bench binary these
-// numbers are measured time, not simulated time; they track the PR-over-PR
-// speedup of the host engine (CI uploads the JSON as an artifact).
+// end-to-end mttkrp_all_modes, and the ALS factor update. Unlike every
+// other bench binary these numbers are measured time, not simulated time;
+// they track the PR-over-PR speedup of the host engine (CI uploads the
+// JSON as an artifact). Series whose work runs on the host pool
+// (io/tns_ingest_parallel, e2e/*, dispatch/*, als/*) use UseRealTime():
+// the main thread's CPU time would leave out the workers' time.
 //
 // The `*_reference` benchmarks are the pre-optimisation implementations
 // kept verbatim (hash-map multiplicity tally in the element loop,
@@ -19,6 +22,7 @@
 #include <unordered_map>
 
 #include "core/amped_tensor.hpp"
+#include "core/cpd.hpp"
 #include "core/ec_kernel.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/reference_loop.hpp"
@@ -335,6 +339,7 @@ void bm_tns_ingest_parallel(benchmark::State& state) {
                           static_cast<std::int64_t>(io_tensor().nnz()));
 }
 BENCHMARK(bm_tns_ingest_parallel)->Name("io/tns_ingest_parallel")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void bm_snapshot_write(benchmark::State& state) {
@@ -392,6 +397,7 @@ void bm_amped_build(benchmark::State& state) {
       static_cast<std::int64_t>(t.nnz() * t.num_modes()));
 }
 BENCHMARK(bm_amped_build)->Name("e2e/amped_build")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void bm_mttkrp_all_modes(benchmark::State& state) {
@@ -412,6 +418,7 @@ void bm_mttkrp_all_modes(benchmark::State& state) {
       static_cast<std::int64_t>(t.nnz() * t.num_modes()));
 }
 BENCHMARK(bm_mttkrp_all_modes)->Name("e2e/mttkrp_all_modes")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -446,6 +453,7 @@ void bm_dispatch_plan(benchmark::State& state) {
   bm_dispatch(state, [](auto&... args) { return mttkrp_all_modes(args...); });
 }
 BENCHMARK(bm_dispatch_plan)->Name("dispatch/plan_engine")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void bm_dispatch_reference(benchmark::State& state) {
@@ -454,6 +462,7 @@ void bm_dispatch_reference(benchmark::State& state) {
   });
 }
 BENCHMARK(bm_dispatch_reference)->Name("dispatch/reference_loop")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The same sweep with the metrics registry disabled: CI compares
@@ -466,6 +475,33 @@ void bm_dispatch_plan_metrics_off(benchmark::State& state) {
   metrics::set_enabled(true);
 }
 BENCHMARK(bm_dispatch_plan_metrics_off)->Name("dispatch/plan_engine_metrics_off")
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// ALS factor update: one AlsState::update_mode (normal-equation factor,
+// blocked row solve, normalisation, gram refresh) on a 40K-row factor at
+// R=64, the size of the Twitch stand-in's longest mode.
+
+void bm_als_update_mode(benchmark::State& state) {
+  GeneratorOptions gen;
+  gen.dims = {40000, 4000, 2000};
+  gen.nnz = 200000;
+  gen.seed = 5;
+  const auto tensor =
+      AmpedTensor::build(generate_random(gen), AmpedBuildOptions{});
+  CpdOptions options;
+  options.rank = 64;
+  detail::AlsState als(tensor, options);
+  Rng rng(6);
+  als.prepare_mode(0).fill_random(rng);
+  for (auto _ : state) {
+    als.update_mode(0, 0.0);
+    benchmark::DoNotOptimize(als.factors().factor(0).data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_als_update_mode)->Name("als/update_mode")->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

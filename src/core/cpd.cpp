@@ -46,14 +46,18 @@ double inner_product(const DenseMatrix& mttkrp_out, const DenseMatrix& factor,
   assert(mttkrp_out.rows() == factor.rows() &&
          mttkrp_out.cols() == factor.cols());
   const std::size_t r = factor.cols();
-  std::vector<double> per_col(r, 0.0);
-  for (std::size_t i = 0; i < factor.rows(); ++i) {
-    const auto g = mttkrp_out.row(i);
-    const auto a = factor.row(i);
-    for (std::size_t c = 0; c < r; ++c) {
-      per_col[c] += static_cast<double>(g[c]) * a[c];
-    }
-  }
+  std::vector<double> per_col(r);
+  linalg::reduce_row_blocks(
+      factor.rows(), per_col,
+      [&](std::size_t lo, std::size_t hi, std::span<double> partial) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto g = mttkrp_out.row(i);
+          const auto a = factor.row(i);
+          for (std::size_t c = 0; c < r; ++c) {
+            partial[c] += static_cast<double>(g[c]) * a[c];
+          }
+        }
+      });
   double acc = 0.0;
   for (std::size_t c = 0; c < r; ++c) acc += lambda[c] * per_col[c];
   return acc;
@@ -81,8 +85,13 @@ DenseMatrix& AlsState::prepare_mode(std::size_t d) {
   if (mttkrp_outs_.size() != tensor_->num_modes()) {
     mttkrp_outs_.resize(tensor_->num_modes());
   }
-  mttkrp_outs_[d] = DenseMatrix(tensor_->dims()[d], options_->rank);
-  return mttkrp_outs_[d];
+  DenseMatrix& out = mttkrp_outs_[d];
+  if (out.rows() == tensor_->dims()[d] && out.cols() == options_->rank) {
+    out.set_zero();  // reuse: no fresh pages to fault in every iteration
+  } else {
+    out = DenseMatrix(tensor_->dims()[d], options_->rank);
+  }
+  return out;
 }
 
 void AlsState::charge_mttkrp(double sim_seconds) {
@@ -90,11 +99,12 @@ void AlsState::charge_mttkrp(double sim_seconds) {
 }
 
 void AlsState::update_mode(std::size_t d, double sim_seconds) {
+  const WallTimer timer;
   const std::size_t modes = tensor_->num_modes();
   const std::size_t rank = options_->rank;
   result_.mttkrp_sim_seconds += sim_seconds;
 
-  // V = hadamard of the other modes' grams.
+  // V = hadamard of the other modes' grams, factored once.
   DenseMatrix v(rank, rank, value_t{1});
   for (std::size_t w = 0; w < modes; ++w) {
     if (w == d) continue;
@@ -102,45 +112,75 @@ void AlsState::update_mode(std::size_t d, double sim_seconds) {
       v.data()[i] *= grams_[w].data()[i];
     }
   }
-  DenseMatrix updated = mttkrp_outs_[d];  // keep raw G for the fit
-  linalg::solve_normal_equations(v, updated);
+  const linalg::CholeskyFactor l = linalg::factor_normal_equations(v);
 
-  // Column-normalise; weights move into lambda.
+  // Solve every row of the MTTKRP output G (kept raw for the fit) into
+  // the factor, summing each block's squared column entries on the way.
+  DenseMatrix& factor = result_.factors.factor(d);
+  const DenseMatrix& g = mttkrp_outs_[d];
+  std::vector<double> norms(rank);
+  linalg::reduce_row_blocks(
+      factor.rows(), norms,
+      [&](std::size_t lo, std::size_t hi, std::span<double> partial) {
+        std::vector<double> work(linalg::CholeskyFactor::kSolveTile * rank);
+        l.solve_rows(g.data().subspan(lo * rank, (hi - lo) * rank),
+                     factor.data().subspan(lo * rank, (hi - lo) * rank),
+                     work);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto a = factor.row(i);
+          for (std::size_t c = 0; c < rank; ++c) {
+            partial[c] += static_cast<double>(a[c]) * a[c];
+          }
+        }
+      });
+
+  // Column norms become lambda. Numeric guard: a NaN/Inf here (degenerate
+  // input data, catastrophic gram conditioning) would otherwise propagate
+  // silently through every later mode and iteration. Fail at the first
+  // poisoned update, naming where the run went bad.
+  std::vector<value_t> inv_norm(rank);
   for (std::size_t c = 0; c < rank; ++c) {
-    double norm = linalg::column_norm(updated, c);
+    double norm = std::sqrt(norms[c]);
     if (norm < 1e-30) norm = 1.0;  // dead component; leave as-is
-    result_.lambda[c] = norm;
-    linalg::scale_column(updated, c, static_cast<value_t>(1.0 / norm));
-  }
-  // Numeric guard: a NaN/Inf here (degenerate input data, catastrophic
-  // gram conditioning) would otherwise propagate silently through every
-  // later mode and iteration. Fail at the first poisoned update, naming
-  // where the run went bad. The scans are O(I_d * R), the same order as
-  // the normalisation pass above.
-  for (std::size_t c = 0; c < rank; ++c) {
-    if (!std::isfinite(result_.lambda[c])) {
+    if (!std::isfinite(norm)) {
       throw std::runtime_error(
           "cp_als: non-finite lambda[" + std::to_string(c) +
           "] after the mode-" + std::to_string(d) + " update at iteration " +
           std::to_string(result_.iterations) +
           " (input data or gram conditioning produced NaN/Inf)");
     }
+    result_.lambda[c] = norm;
+    inv_norm[c] = static_cast<value_t>(1.0 / norm);
   }
-  for (value_t entry : updated.data()) {
-    if (!std::isfinite(entry)) {
-      throw std::runtime_error(
-          "cp_als: non-finite factor entry in mode " + std::to_string(d) +
-          " at iteration " + std::to_string(result_.iterations) +
-          " (input data or gram conditioning produced NaN/Inf)");
-    }
+  // Column-normalise in one pass, counting entries that are not finite.
+  double non_finite = 0.0;
+  linalg::reduce_row_blocks(
+      factor.rows(), std::span<double>(&non_finite, 1),
+      [&](std::size_t lo, std::size_t hi, std::span<double> partial) {
+        std::size_t bad = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto a = factor.row(i);
+          for (std::size_t c = 0; c < rank; ++c) {
+            a[c] *= inv_norm[c];
+            bad += std::isfinite(a[c]) ? 0 : 1;
+          }
+        }
+        partial[0] += static_cast<double>(bad);
+      });
+  if (non_finite != 0.0) {
+    throw std::runtime_error(
+        "cp_als: non-finite factor entry in mode " + std::to_string(d) +
+        " at iteration " + std::to_string(result_.iterations) +
+        " (input data or gram conditioning produced NaN/Inf)");
   }
-  result_.factors.factor(d) = std::move(updated);
-  grams_[d] = linalg::gram(result_.factors.factor(d));
+  grams_[d] = linalg::gram(factor);
 
   if (d + 1 == modes) {
-    iprod_ = inner_product(mttkrp_outs_[d], result_.factors.factor(d),
-                           result_.lambda);
+    iprod_ = inner_product(g, factor, result_.lambda);
   }
+  static metrics::Histogram& update_hist =
+      metrics::histogram("als.update_seconds");
+  update_hist.record_seconds(timer.seconds());
 }
 
 void AlsState::finish_iteration() {
@@ -148,8 +188,22 @@ void AlsState::finish_iteration() {
   // is available when the copies are spilled to disk.
   const double norm_x_sq = tensor_->values_norm_sq();
   const double model_sq = model_norm_sq(grams_, result_.lambda);
-  const double residual_sq =
-      std::max(0.0, norm_x_sq + model_sq - 2.0 * iprod_);
+  const double raw_residual_sq = norm_x_sq + model_sq - 2.0 * iprod_;
+  if (raw_residual_sq < -1e-6 * norm_x_sq) {
+    // Negative beyond rounding: |X|^2 sums v^2 per stored entry while
+    // MTTKRP sums duplicate coordinates, so duplicated inputs land here.
+    // Counted and reported once per run; the fit stays clamped.
+    metrics::counter("als.negative_residual").inc();
+    if (!warned_negative_residual_) {
+      warned_negative_residual_ = true;
+      AMPED_LOG_WARN << "cp_als: residual |X - X_hat|^2 = "
+                     << raw_residual_sq << " is negative at iteration "
+                     << result_.iterations << " (|X|^2=" << norm_x_sq
+                     << "); clamped to 0, so the reported fit is "
+                     << "overstated (duplicate coordinates in the input?)";
+    }
+  }
+  const double residual_sq = std::max(0.0, raw_residual_sq);
   const double fit =
       norm_x_sq > 0.0 ? 1.0 - std::sqrt(residual_sq / norm_x_sq) : 1.0;
   if (!std::isfinite(fit)) {

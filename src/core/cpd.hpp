@@ -102,10 +102,10 @@ class AlsState {
   bool done() const { return done_; }
   std::size_t iterations() const { return result_.iterations; }
 
-  // Returns the zero-free output buffer the mode-`d` MTTKRP writes into
-  // (sized dims[d] x rank; the MTTKRP zeroes it). Buffers are per mode
-  // with stable addresses, so a graph-scheduled window can hold plans
-  // against every mode's buffer at once.
+  // Returns the zeroed output buffer the mode-`d` MTTKRP writes into
+  // (sized dims[d] x rank, allocated once and re-zeroed on later calls).
+  // Buffers are per mode with stable addresses, so a graph-scheduled
+  // window can hold plans against every mode's buffer at once.
   DenseMatrix& prepare_mode(std::size_t d);
   // The mode-`d` MTTKRP buffer as prepare_mode last shaped it. Graph
   // windows reuse it across iterations (the solve's host op zeroes it
@@ -141,6 +141,7 @@ class AlsState {
   double prev_fit_ = 0.0;
   double iprod_ = 0.0;
   bool done_ = false;
+  bool warned_negative_residual_ = false;  // one warning per run
   // Heartbeat bookkeeping: wall clock of the current iteration and the
   // MTTKRP total at its start, so finish_iteration can report deltas.
   WallTimer iter_timer_;

@@ -71,9 +71,9 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (t_in_pool_worker || workers_.size() == 1) {
-    // Nested call from a worker (or a 1-thread pool): distributing would
-    // add queue traffic with no extra concurrency — run inline.
+  if (n == 1 || t_in_pool_worker || workers_.size() == 1) {
+    // One index, a nested call from a worker, or a 1-thread pool:
+    // distributing would add queue traffic with no extra concurrency.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -81,15 +81,22 @@ void ThreadPool::parallel_for(std::size_t n,
   // queue traffic for large n.
   const std::size_t chunks = std::min(n, workers_.size() * 4);
   const std::size_t per = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * per;
+  // Completion of this call's chunks alone. The last chunk notifies under
+  // the lock, so the waiter cannot see zero and destroy these before the
+  // notifying task is done with them.
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  std::size_t pending = (n + per - 1) / per;
+  for (std::size_t lo = 0; lo < n; lo += per) {
     const std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    submit([&fn, lo, hi] {
+    submit([&, lo, hi] {
       for (std::size_t i = lo; i < hi; ++i) fn(i);
+      std::lock_guard lock(done_mutex);
+      if (--pending == 0) done_cv.notify_all();
     });
   }
-  wait_idle();
+  std::unique_lock lock(done_mutex);
+  done_cv.wait(lock, [&] { return pending == 0; });
 }
 
 void ThreadPool::worker_loop() {

@@ -1,10 +1,13 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
 // The simulator's numerical execution is independent per simulated GPU, so
-// device loops can run concurrently when cores are available. On a 1-core
-// host the pool degrades gracefully to near-serial execution; all *timing*
-// results come from the simulator's cost model, never from wall clock, so
-// correctness of results does not depend on the core count.
+// device loops can run concurrently when cores are available; the ALS
+// factor update runs its fixed row blocks here too. On a 1-core host the
+// pool degrades gracefully to near-serial execution. Numerical results
+// never depend on the core count: every parallel section either writes
+// disjoint outputs or reduces fixed-size partials in a fixed order. Time
+// does: under the simulated backend it comes from the cost model, under
+// the host backend (exec/host_backend.hpp) it is measured wall clock.
 //
 // The process-wide pool behind global_thread_pool() is what the execution
 // engine dispatches on (per-GPU shard loops, per-mode format builds). Its
@@ -38,10 +41,12 @@ class ThreadPool {
   // Block until every submitted task has finished.
   void wait_idle();
 
-  // Run fn(i) for i in [0, n), distributing across the pool, and wait.
-  // Calling from inside a pool task runs the loop inline on the calling
-  // worker (a nested distribution would deadlock wait_idle against the
-  // caller's own in-flight task).
+  // Run fn(i) for i in [0, n), distributing across the pool, and wait for
+  // those calls only (not for unrelated tasks other threads submitted).
+  // fn must not throw. Runs inline on the calling thread when n == 1,
+  // when the pool has one worker, or when called from inside a pool task
+  // (a nested distribution could wait on workers that are all blocked in
+  // the caller's own in-flight tasks).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -5,6 +5,7 @@
 
 #include "core/cpd.hpp"
 #include "tensor/generator.hpp"
+#include "util/metrics.hpp"
 
 namespace amped {
 namespace {
@@ -128,6 +129,42 @@ TEST(CpdTest, SparseRandomTensorFitsPartially) {
   // trivial zero-model baseline.
   EXPECT_GT(result.fit, 0.0);
   EXPECT_LT(result.fit, 1.0);
+}
+
+// A spike fitted exactly by a rank-1 model. Stored three times, it is
+// one entry of 3v to MTTKRP but three entries of v to |X|^2, so the
+// residual goes negative; stored once as 3v, it does not. The fit stays
+// clamped either way (duplicate semantics are still open), but the
+// duplicated run is counted.
+TEST(CpdTest, DuplicateCoordinatesCountNegativeResidual) {
+  auto spike = [](int copies) {
+    CooTensor t({4, 3, 2});
+    const std::array<index_t, 3> c{1, 2, 0};
+    for (int k = 0; k < copies; ++k) {
+      t.push_back(std::span<const index_t>(c.data(), 3), 6.0f / copies);
+    }
+    return t;
+  };
+  auto run = [](const CooTensor& input) {
+    auto tensor = AmpedTensor::build(input, AmpedBuildOptions{});
+    auto platform = sim::make_default_platform(2);
+    CpdOptions opt;
+    opt.rank = 1;
+    opt.max_iterations = 5;
+    opt.tolerance = 0.0;
+    return cp_als(platform, tensor, opt);
+  };
+  const metrics::Counter& negative = metrics::counter("als.negative_residual");
+
+  const std::uint64_t before_unique = negative.value();
+  const CpdResult unique = run(spike(1));
+  EXPECT_EQ(negative.value(), before_unique);
+  EXPECT_GT(unique.fit, 0.99);
+
+  const std::uint64_t before_dup = negative.value();
+  const CpdResult dup = run(spike(3));
+  EXPECT_GT(negative.value(), before_dup);
+  EXPECT_EQ(dup.fit, 1.0);  // clamped residual: reporting is unchanged
 }
 
 TEST(CpdTest, TensorNormSq) {

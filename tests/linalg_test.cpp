@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
@@ -63,11 +65,9 @@ TEST(BlasTest, MatmulKnownProduct) {
   EXPECT_FLOAT_EQ(c(1, 1), 154.0f);
 }
 
-TEST(BlasTest, ColumnOpsAndDot) {
+TEST(BlasTest, DotSumsElementwiseProducts) {
   DenseMatrix a(3, 2, 1.0f);
-  EXPECT_NEAR(linalg::column_norm(a, 0), std::sqrt(3.0), 1e-6);
-  linalg::scale_column(a, 0, 2.0f);
-  EXPECT_FLOAT_EQ(a(1, 0), 2.0f);
+  for (std::size_t i = 0; i < 3; ++i) a(i, 0) = 2.0f;
   DenseMatrix b(3, 2, 1.0f);
   EXPECT_NEAR(linalg::dot(a, b), 2.0 * 3 + 1.0 * 3, 1e-6);
 }
@@ -79,11 +79,12 @@ TEST(CholeskyTest, FactorsSpdMatrix) {
   m(0, 1) = 2;
   m(1, 0) = 2;
   m(1, 1) = 10;
-  auto l = linalg::cholesky(m);
+  auto l = linalg::CholeskyFactor::factor(m);
   ASSERT_TRUE(l.has_value());
-  EXPECT_NEAR((*l)(0, 0), 2.0, 1e-6);
-  EXPECT_NEAR((*l)(1, 0), 1.0, 1e-6);
-  EXPECT_NEAR((*l)(1, 1), 3.0, 1e-6);
+  EXPECT_NEAR(l->lower(0, 0), 2.0, 1e-12);
+  EXPECT_NEAR(l->lower(1, 0), 1.0, 1e-12);
+  EXPECT_NEAR(l->lower(1, 1), 3.0, 1e-12);
+  EXPECT_EQ(l->lower(0, 1), 0.0);
 }
 
 TEST(CholeskyTest, RejectsIndefinite) {
@@ -92,7 +93,7 @@ TEST(CholeskyTest, RejectsIndefinite) {
   m(0, 1) = 5;
   m(1, 0) = 5;
   m(1, 1) = 1;  // eigenvalues 6, -4
-  EXPECT_FALSE(linalg::cholesky(m).has_value());
+  EXPECT_FALSE(linalg::CholeskyFactor::factor(m).has_value());
 }
 
 TEST(CholeskyTest, SolveRecoversKnownSolution) {
@@ -101,13 +102,39 @@ TEST(CholeskyTest, SolveRecoversKnownSolution) {
   m(0, 1) = 2;
   m(1, 0) = 2;
   m(1, 1) = 10;
-  auto l = linalg::cholesky(m);
+  auto l = linalg::CholeskyFactor::factor(m);
   ASSERT_TRUE(l.has_value());
   // b = M * [1, 2]^T = [8, 22].
-  std::vector<value_t> b{8.0f, 22.0f};
-  linalg::cholesky_solve_inplace(*l, b);
-  EXPECT_NEAR(b[0], 1.0, 1e-5);
-  EXPECT_NEAR(b[1], 2.0, 1e-5);
+  const std::vector<value_t> b{8.0f, 22.0f};
+  std::vector<value_t> x(2);
+  std::vector<double> work(linalg::CholeskyFactor::kSolveTile * 2);
+  l->solve_rows(b, x, work);
+  EXPECT_NEAR(x[0], 1.0, 1e-6);
+  EXPECT_NEAR(x[1], 2.0, 1e-6);
+}
+
+// solve_rows interleaves a tile of rows; each row's result must not
+// depend on which rows share its tile (37 rows: full tiles plus a tail).
+TEST(CholeskyTest, SolveRowsMatchesOneRowAtATime) {
+  Rng rng(9);
+  for (const std::size_t r : {1, 5, 64, 100}) {
+    DenseMatrix a(300, r);
+    a.fill_random(rng);
+    const auto l = linalg::factor_normal_equations(linalg::gram(a));
+    DenseMatrix rhs(37, r);
+    rhs.fill_random(rng, -1.0f, 1.0f);
+    DenseMatrix together = rhs;
+    std::vector<double> work(linalg::CholeskyFactor::kSolveTile * r);
+    l.solve_rows(together.data(), together.data(), work);
+    for (std::size_t i = 0; i < rhs.rows(); ++i) {
+      std::vector<value_t> alone(r);
+      l.solve_rows(rhs.row(i), alone, work);
+      EXPECT_EQ(std::memcmp(alone.data(), together.row(i).data(),
+                            r * sizeof(value_t)),
+                0)
+          << "rank " << r << " row " << i;
+    }
+  }
 }
 
 TEST(CholeskyTest, SolveNormalEquationsMultiRow) {

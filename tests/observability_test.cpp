@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "core/amped_tensor.hpp"
+#include "core/cpd.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/backend.hpp"
 #include "exec/plan.hpp"
 #include "exec/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "tensor/generator.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace amped {
@@ -163,6 +165,28 @@ TEST(ObservabilityTest, SimAndHostKernelLabelsMatchPerDevice) {
       EXPECT_EQ(label.rfind("grid mode", 0), 0u) << label;
     }
   }
+}
+
+// Every ALS factor update is one als.update_seconds sample, and the
+// histogram is part of the metrics snapshot --report-json embeds.
+TEST(ObservabilityTest, AlsUpdateLatencyRecordedPerModePerIteration) {
+  const int gpus = 2;
+  auto tensor = make_test_tensor(gpus);
+  auto platform = sim::make_default_platform(gpus);
+  CpdOptions opt;
+  opt.rank = 8;
+  opt.max_iterations = 3;
+  opt.tolerance = 0.0;
+  opt.mttkrp.backend = exec::ExecBackend::kHostParallel;
+  const metrics::Histogram& updates = metrics::histogram("als.update_seconds");
+  const std::uint64_t before = updates.count();
+  const CpdResult result = cp_als(platform, tensor, opt);
+  EXPECT_EQ(updates.count() - before,
+            result.iterations * tensor.num_modes());
+  EXPECT_GT(updates.sum_seconds(), 0.0);
+  EXPECT_NE(metrics::Registry::global().snapshot_json().find(
+                "\"als.update_seconds\""),
+            std::string::npos);
 }
 
 TEST(ObservabilityTest, CapacityOverflowIsSurfacedInExport) {

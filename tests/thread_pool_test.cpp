@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -68,6 +70,40 @@ TEST(ThreadPoolStressTest, DestructorDrainsQueuedTasks) {
     // throwing or losing work.
   }
   EXPECT_EQ(counter.load(), 500);
+}
+
+TEST(ThreadPoolStressTest, SingleIndexParallelForRunsInlineOnCaller) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.parallel_for(1, [&](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolStressTest, ParallelForWaitsOnlyForItsOwnTasks) {
+  ThreadPool pool(2);
+  std::mutex m;
+  std::condition_variable cv;
+  bool release = false;
+  // An unrelated task holds one worker until released. parallel_for must
+  // return once its own indices are done (on the other worker) instead of
+  // waiting for the whole pool to go idle.
+  pool.submit([&] {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return release; });
+  });
+  std::atomic<int> ran{0};
+  pool.parallel_for(16, [&](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), 16);
+  {
+    std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
 }
 
 TEST(GlobalThreadPoolTest, OverrideControlsPoolSize) {
